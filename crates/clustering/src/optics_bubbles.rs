@@ -51,12 +51,12 @@ pub fn bubble_distance<S: DataSummary>(a: &S, b: &S) -> f64 {
 /// [`bubble_distance`] over pre-extracted summary parts: representative
 /// coordinates, extent and `nnDist(1)` of each side.
 ///
-/// The `O(s²)` matrix-fill passes (here and in the delta layer's
-/// `PairCache`) extract each live summary's parts **once** into a flat
-/// [`SeedBlock`] and two `Vec<f64>`s, then call this per pair — the
-/// trait's `rep()` allocates a fresh `Vec` per call, which at `s²` pairs
-/// per epoch dominated the fill. Same floating-point operations in the
-/// same order as [`bubble_distance`], so the value is bit-identical.
+/// The `O(s²)` matrix fill of [`optics_bubbles_with`] extracts each live
+/// summary's parts **once** into a flat [`SeedBlock`] and two
+/// `Vec<f64>`s, then calls this per pair — the trait's `rep()` allocates
+/// a fresh `Vec` per call, which at `s²` pairs per epoch dominated the
+/// fill. Same floating-point operations in the same order as
+/// [`bubble_distance`], so the value is bit-identical.
 #[inline]
 #[must_use]
 pub fn bubble_distance_flat(ra: &[f64], ea: f64, na: f64, rb: &[f64], eb: f64, nb: f64) -> f64 {
@@ -73,19 +73,19 @@ pub fn bubble_distance_flat(ra: &[f64], ea: f64, na: f64, rb: &[f64], eb: f64, n
 /// block plus per-summary extent and `nnDist(1)` arrays, aligned with the
 /// `live` index list they were extracted from.
 #[derive(Debug, Clone)]
-pub struct SummaryParts {
+struct SummaryParts {
     /// Representative coordinates, one row per live summary.
-    pub reps: SeedBlock,
+    reps: SeedBlock,
     /// `extent()` per live summary.
-    pub extents: Vec<f64>,
+    extents: Vec<f64>,
     /// `nn_dist(1)` per live summary.
-    pub nn1: Vec<f64>,
+    nn1: Vec<f64>,
 }
 
 impl SummaryParts {
     /// Extracts the parts of `summaries[live[..]]` (each must be
     /// non-empty) for a flat pairwise-distance pass.
-    pub fn extract<S: DataSummary>(summaries: &[S], live: &[usize]) -> Self {
+    fn extract<S: DataSummary>(summaries: &[S], live: &[usize]) -> Self {
         let dim = live
             .first()
             .map_or(1, |&i| summaries[i].dim().max(1))
@@ -106,8 +106,7 @@ impl SummaryParts {
 
     /// [`bubble_distance_flat`] between live rows `i` and `j`.
     #[inline]
-    #[must_use]
-    pub fn distance(&self, i: usize, j: usize) -> f64 {
+    fn distance(&self, i: usize, j: usize) -> f64 {
         bubble_distance_flat(
             self.reps.get(i),
             self.extents[i],
@@ -280,85 +279,11 @@ pub fn optics_bubbles_with<S: DataSummary + Sync>(
         }
     }
 
-    optics_from_matrix(summaries, &live, &pair, eps, min_pts)
-}
-
-/// The best-first OPTICS expansion over a *precomputed* dense pairwise
-/// distance matrix.
-///
-/// `live` lists the indices (into `summaries`) to order — every listed
-/// summary must be non-empty — and `pair[i * live.len() + j]` must hold
-/// `bubble_distance` between `live[i]` and `live[j]`. This is the exact
-/// expansion stage [`optics_bubbles_with`] runs after filling its own
-/// matrix; callers that maintain the matrix incrementally (the delta
-/// clustering layer) feed it here and get a bit-identical ordering, since
-/// every downstream decision reads only the matrix and the summaries.
-///
-/// # Panics
-/// Panics if `min_pts == 0`, if `pair.len() != live.len()²`, or (in debug
-/// builds) if a listed summary is empty.
-#[must_use]
-pub fn optics_from_matrix<S: DataSummary>(
-    summaries: &[S],
-    live: &[usize],
-    pair: &[f64],
-    eps: f64,
-    min_pts: usize,
-) -> BubbleOrdering {
-    optics_from_matrix_with_scratch(
-        summaries,
-        live,
-        pair,
-        eps,
-        min_pts,
-        &mut OpticsScratch::default(),
-    )
-}
-
-/// Reusable working memory for [`optics_from_matrix_with_scratch`]: the
-/// processed flags, reachability array, candidate heap and neighbour list
-/// the expansion needs. A caller that re-runs the expansion every epoch
-/// (the delta clustering engine) holds one and reuses the allocations;
-/// the scratch never carries results between runs — every buffer is
-/// reset on entry.
-#[derive(Debug, Clone, Default)]
-pub struct OpticsScratch {
-    processed: Vec<bool>,
-    reach: Vec<f64>,
-    heap: BinaryHeap<Seed>,
-    neigh: Vec<(usize, f64)>,
-}
-
-/// [`optics_from_matrix`] with caller-owned scratch memory; the returned
-/// ordering is bit-identical.
-///
-/// # Panics
-/// Panics if `min_pts == 0`, if `pair.len() != live.len()²`, or (in debug
-/// builds) if a listed summary is empty.
-#[must_use]
-pub fn optics_from_matrix_with_scratch<S: DataSummary>(
-    summaries: &[S],
-    live: &[usize],
-    pair: &[f64],
-    eps: f64,
-    min_pts: usize,
-    scratch: &mut OpticsScratch,
-) -> BubbleOrdering {
-    assert!(min_pts > 0, "min_pts must be positive");
-    let s = live.len();
-    assert_eq!(pair.len(), s * s, "matrix must be dense over `live`");
-    debug_assert!(
-        live.iter().all(|&i| summaries[i].n() > 0),
-        "live summaries must be non-empty"
-    );
     let mut ordering = BubbleOrdering {
         order: Vec::with_capacity(s),
         reachability: Vec::with_capacity(s),
         virtual_reachability: Vec::with_capacity(s),
     };
-    if s == 0 {
-        return ordering;
-    }
 
     // Core distance of live summary `i`: weighted accumulation of point
     // counts over neighbours by ascending distance.
@@ -380,18 +305,10 @@ pub fn optics_from_matrix_with_scratch<S: DataSummary>(
         f64::INFINITY
     };
 
-    let OpticsScratch {
-        processed,
-        reach,
-        heap,
-        neigh,
-    } = scratch;
-    processed.clear();
-    processed.resize(s, false);
-    reach.clear();
-    reach.resize(s, f64::INFINITY);
-    heap.clear();
-    neigh.clear();
+    let mut processed = vec![false; s];
+    let mut reach = vec![f64::INFINITY; s];
+    let mut heap: BinaryHeap<Seed> = BinaryHeap::new();
+    let mut neigh: Vec<(usize, f64)> = Vec::new();
 
     let expand = |i: usize,
                   processed: &[bool],
@@ -442,7 +359,7 @@ pub fn optics_from_matrix_with_scratch<S: DataSummary>(
         ordering
             .virtual_reachability
             .push(summaries[live[start]].nn_dist(min_pts));
-        expand(start, processed, reach, heap, neigh);
+        expand(start, &processed, &mut reach, &mut heap, &mut neigh);
 
         while let Some(Seed { reach: r, idx }) = heap.pop() {
             let i = idx as usize;
@@ -455,7 +372,7 @@ pub fn optics_from_matrix_with_scratch<S: DataSummary>(
             ordering
                 .virtual_reachability
                 .push(summaries[live[i]].nn_dist(min_pts));
-            expand(i, processed, reach, heap, neigh);
+            expand(i, &processed, &mut reach, &mut heap, &mut neigh);
         }
     }
     ordering
@@ -579,31 +496,57 @@ mod tests {
         // stats) satisfies no `d <= eps` test, so it must behave as "no
         // edge": the expansion completes, visits every summary, and the
         // NaN never infects a reachability value or panics the
-        // neighbour sort.
-        let summaries = vec![
-            Ball::new(&[0.0, 0.0], 1.0, 30),
-            Ball::new(&[3.0, 0.0], 1.0, 30),
-            Ball::new(&[100.0, 0.0], 1.0, 30),
-        ];
-        let live = [0usize, 1, 2];
-        let mut pair = vec![0.0; 9];
-        for i in 0..3 {
-            for j in 0..3 {
-                if i != j {
-                    pair[i * 3 + j] = bubble_distance(&summaries[i], &summaries[j]);
+        // neighbour sort. Poisoning one bubble's `nnDist(1)` makes its
+        // distance to every bubble it does not overlap NaN.
+        #[derive(Debug, Clone)]
+        struct Poisonable {
+            ball: Ball,
+            nan_nn1: bool,
+        }
+        impl DataSummary for Poisonable {
+            fn dim(&self) -> usize {
+                self.ball.dim()
+            }
+            fn n(&self) -> u64 {
+                self.ball.n()
+            }
+            fn rep(&self) -> Vec<f64> {
+                self.ball.rep()
+            }
+            fn extent(&self) -> f64 {
+                self.ball.extent()
+            }
+            fn nn_dist(&self, k: usize) -> f64 {
+                if self.nan_nn1 && k == 1 {
+                    f64::NAN
+                } else {
+                    self.ball.nn_dist(k)
                 }
             }
         }
-        pair[2] = f64::NAN; // poison 0↔2 ...
-        pair[6] = f64::NAN; // ... in both directions
-        let a = optics_from_matrix(&summaries, &live, &pair, f64::INFINITY, 10);
+        let summaries: Vec<Poisonable> = [[0.0, 0.0], [3.0, 0.0], [100.0, 0.0]]
+            .iter()
+            .enumerate()
+            .map(|(i, center)| Poisonable {
+                ball: Ball::new(center, 1.0, 30),
+                nan_nn1: i == 2,
+            })
+            .collect();
+        assert!(bubble_distance(&summaries[0], &summaries[2]).is_nan());
+        assert!(bubble_distance(&summaries[1], &summaries[2]).is_nan());
+        let a = optics_bubbles(&summaries, f64::INFINITY, 10);
         assert_eq!(a.order.len(), 3, "every summary is still visited");
         assert!(
             a.reachability.iter().all(|r| !r.is_nan()),
             "NaN never becomes a reachability: {:?}",
             a.reachability
         );
-        let b = optics_from_matrix(&summaries, &live, &pair, f64::INFINITY, 10);
+        assert_eq!(
+            a.reachability.iter().filter(|r| r.is_infinite()).count(),
+            2,
+            "the poisoned bubble starts a component of its own"
+        );
+        let b = optics_bubbles(&summaries, f64::INFINITY, 10);
         assert_eq!(a.order, b.order);
         assert_eq!(a.reachability, b.reachability);
     }

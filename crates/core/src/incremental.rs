@@ -125,8 +125,8 @@ pub struct AdaptiveReport {
 }
 
 /// One structural change to the bubble slot space, in application order —
-/// the event stream a delta-maintained clustering layer consumes to know
-/// which pairwise distances may have changed.
+/// the event stream incremental consumers (the checkpoint dirty tracker,
+/// external change-log readers) use to know which bubbles changed.
 ///
 /// Only *summary statistics* changes are reported: the bubble distance,
 /// core distance and virtual reachability are pure functions of a bubble's
@@ -425,9 +425,9 @@ impl IncrementalBubbles {
     /// Turns the checkpoint-side structural change log on or off.
     ///
     /// A second, independently drained channel with exactly the contract
-    /// of [`Self::set_change_tracking`] / [`Self::take_changes`]: the
-    /// delta-subscription consumer and the incremental-checkpoint dirty
-    /// tracker drain on different schedules, so they cannot share one log.
+    /// of [`Self::set_change_tracking`] / [`Self::take_changes`]: a
+    /// change-log consumer and the incremental-checkpoint dirty tracker
+    /// drain on different schedules, so they cannot share one log.
     /// Enabling starts with an *invalid* log (first drain returns `None`).
     pub fn set_ckpt_tracking(&mut self, on: bool) {
         self.ckpt_track = on;

@@ -1,8 +1,7 @@
 //! Typed cluster deltas and the cross-epoch tree diff that emits them.
 //!
-//! Every epoch the delta engine re-extracts the cluster tree (reusing
-//! unchanged components) and diffs it against the previous epoch's tree
-//! to produce a stream of [`ClusterDelta`]s with **stable cluster ids**:
+//! Every epoch the delta engine extracts the cluster tree and diffs it
+//! against the previous epoch's tree to produce a stream of [`ClusterDelta`]s with **stable cluster ids**:
 //!
 //! * the root always carries id 0, for the lifetime of the engine;
 //! * a cluster that persists across epochs keeps its id — "persists" is

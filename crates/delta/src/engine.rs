@@ -1,49 +1,38 @@
-//! The delta-maintained clustering engine.
+//! The delta clustering engine.
 //!
-//! [`DeltaEngine`] consumes the maintainer's structural change stream
-//! ([`BubbleChange`]) and keeps the whole bubble-level clustering
-//! pipeline incrementally maintained across epochs:
+//! Every [`DeltaEngine::epoch`] runs the from-scratch bubble-level
+//! pipeline over the domains it is shown and diffs the result against
+//! the previous epoch:
 //!
-//! 1. **Candidate generation** — a [`PairCache`] mirrors the bubble slot
-//!    space of every domain (push / swap-remove / in-place stat changes)
-//!    and recomputes only the distance neighborhoods of *touched* slots,
-//!    bit-identical to a from-scratch matrix;
-//! 2. **Expansion** — [`optics_from_matrix`] runs the exact best-first
-//!    OPTICS stage `optics_bubbles_with` would run over that matrix;
-//! 3. **Extraction** — [`cluster_tree_delta`] re-extracts the cluster
-//!    tree, copying components whose reachability bits are unchanged
-//!    from the previous epoch's [`TreeCache`];
+//! 1. **Ordering** — [`optics_merged`] over the domains, domain-major;
+//! 2. **Expansion** — the bubble ordering expanded into a point-level
+//!    reachability plot;
+//! 3. **Extraction** — [`cluster_tree`] over that plot;
 //! 4. **Diff** — the new tree is diffed against the previous epoch's
 //!    identity tree into typed [`ClusterDelta`]s with stable cluster
 //!    ids, fanned out to registered subscriptions.
 //!
-//! Every stage is bit-identical to the from-scratch pipeline
-//! (`optics_merged` → `expand` → `cluster_tree`) by construction: the
-//! incremental parts only decide *what to recompute*, never *what the
-//! values are*. The differential suite in `tests/equivalence.rs` proves
-//! it over every dynamic scenario, engine, parallelism mode and
-//! partition count.
-//!
-//! When any domain's change log is unavailable (`take_changes` returned
-//! `None`: tracking just enabled, or invalidated by a repair/restart),
-//! the engine falls back to a **full resync** — every slot recomputed,
-//! same bits, no silent staleness.
+//! The engine keeps no cross-epoch clustering state besides the identity
+//! tree the diff needs, so an epoch cannot go stale: maintainer repairs,
+//! partition restarts and domain-count changes need no special handling.
+//! At `s` in the hundreds the `O(s²)` ordering is a few milliseconds,
+//! and caching distance rows or tree components across epochs measured
+//! slower than recomputing them (DESIGN.md §14).
 
 use crate::deltas::{diff_trees, ClusterDelta, ClusterId, IdNode};
 use crate::subscribe::{Interest, Subscriptions, VersionedDelta};
 use idb_clustering::merged::MergedRef;
 use idb_clustering::{
-    cluster_tree_delta, optics_from_matrix_with_scratch, BubbleOrdering, ClusterNode,
-    ExtractParams, OpticsScratch, PairCache, ReachabilityPlot, TreeCache, TreeDeltaStats,
+    cluster_tree, optics_merged, BubbleOrdering, ClusterNode, ExtractParams, ReachabilityPlot,
 };
-use idb_core::{Bubble, BubbleChange, DataSummary, IncrementalBubbles};
+use idb_core::{Bubble, BubbleChange, IncrementalBubbles};
 use idb_geometry::Parallelism;
 use idb_obs::{EventKind, Obs};
 use idb_store::PointId;
 use std::collections::HashMap;
 
 /// Clustering parameters of a [`DeltaEngine`] — fixed for the engine's
-/// lifetime so cached state stays comparable across epochs.
+/// lifetime so consecutive epochs' trees stay comparable.
 #[derive(Debug, Clone)]
 pub struct DeltaParams {
     /// OPTICS neighborhood bound (`f64::INFINITY` for the full
@@ -53,8 +42,8 @@ pub struct DeltaParams {
     pub min_pts: usize,
     /// Cluster-tree extraction parameters.
     pub extract: ExtractParams,
-    /// Parallelism of the touched-row refresh (a wall-clock knob only —
-    /// outputs are bit-identical across modes).
+    /// Parallelism of the pairwise bubble-distance matrix fill (a
+    /// wall-clock knob only — outputs are bit-identical across modes).
     pub par: Parallelism,
 }
 
@@ -72,21 +61,32 @@ impl DeltaParams {
     }
 }
 
+/// Cluster-tree extraction counters of one epoch.
+///
+/// Every epoch extracts the whole tree afresh, so `reused` is always 0
+/// and `rebuilt` counts the ordering's components (each OPTICS component
+/// starts at an infinite reachability entry).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TreeDeltaStats {
+    /// Component subtrees copied from a previous epoch (always 0).
+    pub reused: usize,
+    /// Component subtrees extracted this epoch.
+    pub rebuilt: usize,
+}
+
 /// What one [`DeltaEngine::epoch`] did.
 #[derive(Debug, Clone)]
 pub struct EpochReport {
     /// The epoch number (0 for the engine's first epoch).
     pub epoch: u64,
-    /// Bubble slots whose distance neighborhood was recomputed.
+    /// Bubble slots whose distance neighborhood was computed — every
+    /// slot, as each epoch recomputes from scratch.
     pub touched: usize,
-    /// Total tracked bubble slots (what a full recompute touches).
+    /// Total bubble slots across all domains.
     pub total: usize,
-    /// Whether the epoch fell back to a full resync (first epoch, a
-    /// domain without a valid change log, or a slot-space mismatch).
-    pub resynced: bool,
     /// The epoch's cluster deltas, in emission order.
     pub deltas: Vec<ClusterDelta>,
-    /// Cluster-tree component reuse counters.
+    /// Cluster-tree extraction counters.
     pub tree: TreeDeltaStats,
 }
 
@@ -99,16 +99,10 @@ struct EpochArtifacts {
     tree: ClusterNode,
 }
 
-/// The delta-maintained clustering layer. See the module docs.
+/// The delta clustering layer. See the module docs.
 #[derive(Debug)]
 pub struct DeltaEngine {
     params: DeltaParams,
-    cache: PairCache,
-    tree_cache: TreeCache,
-    /// Per cache slot: the owning `(domain, index within domain)`.
-    owners: Vec<(u32, u32)>,
-    /// Per domain: domain-local bubble index → cache slot.
-    domain_slots: Vec<Vec<usize>>,
     /// The previous epoch's identity tree (`None` before the first
     /// epoch).
     id_tree: Option<IdNode>,
@@ -117,31 +111,21 @@ pub struct DeltaEngine {
     obs: Obs,
     epochs: u64,
     last: Option<EpochArtifacts>,
-    /// Reusable working memory for the per-epoch OPTICS expansion — after
-    /// the first epoch the expansion stage allocates nothing. Purely an
-    /// optimization; a fresh scratch yields bit-identical orderings.
-    optics_scratch: OpticsScratch,
 }
 
 impl DeltaEngine {
-    /// An engine with the given parameters and no tracked state; the
-    /// first epoch resyncs against whatever domains it is shown.
+    /// An engine with the given parameters and no epochs run.
     #[must_use]
     pub fn new(params: DeltaParams) -> Self {
         assert!(params.min_pts > 0, "min_pts must be positive");
         Self {
             params,
-            cache: PairCache::new(),
-            tree_cache: TreeCache::new(),
-            owners: Vec::new(),
-            domain_slots: Vec::new(),
             id_tree: None,
             next_cluster_id: 0,
             subs: Subscriptions::new(),
             obs: Obs::disabled(),
             epochs: 0,
             last: None,
-            optics_scratch: OpticsScratch::default(),
         }
     }
 
@@ -153,8 +137,8 @@ impl DeltaEngine {
 
     /// Routes observability through `obs`: every epoch emits an
     /// [`EventKind::DeltaEpoch`] journal event and bumps the
-    /// `delta.rows_touched` / `delta.rows_total` / `delta.rows_saved`
-    /// counters (the delta-vs-full work ledger).
+    /// `delta.epochs` / `delta.rows_touched` / `delta.rows_total`
+    /// counters.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -222,110 +206,47 @@ impl DeltaEngine {
         self.subs.poll(id)
     }
 
-    /// Runs one epoch against a single unsharded maintainer: drains its
-    /// change log (enabling tracking on first use — which forces this
-    /// epoch to resync, as the log cannot cover what happened before) and
-    /// clusters its bubbles. Point ids in plots and memberships are the
-    /// maintainer's own store ids.
-    pub fn maintainer_epoch(&mut self, bubbles: &mut IncrementalBubbles) -> EpochReport {
-        if !bubbles.change_tracking() {
-            bubbles.set_change_tracking(true);
-        }
-        let changes = vec![bubbles.take_changes()];
-        let domains = [bubbles.bubbles()];
-        self.epoch(&domains, changes, |_, id| u64::from(id.0))
+    /// Runs one epoch over a single unsharded maintainer's bubbles.
+    /// Point ids in plots and memberships are the maintainer's own store
+    /// ids.
+    pub fn maintainer_epoch(&mut self, bubbles: &IncrementalBubbles) -> EpochReport {
+        self.epoch(&[bubbles.bubbles()], vec![None], |_, id| u64::from(id.0))
     }
 
     /// Runs one epoch over `domains` (one slice of bubbles per
-    /// maintainer domain, in a fixed domain order), with `changes[d]` the
-    /// domain's drained change log (`None` forces a full resync) and
-    /// `map_id` translating a domain-local point id into the global id
-    /// space used in plots and memberships.
+    /// maintainer domain, in a fixed domain order), with `map_id`
+    /// translating a domain-local point id into the global id space used
+    /// in plots and memberships.
     ///
-    /// The resulting ordering, plot and tree are bit-identical to the
-    /// from-scratch `optics_merged` → `expand` → `cluster_tree` pipeline
-    /// over the same domains.
-    ///
-    /// # Panics
-    /// Panics if `changes.len() != domains.len()`.
+    /// `changes` is accepted and ignored: the epoch recomputes the
+    /// ordering, plot and tree from the domains alone, as the
+    /// `optics_merged` → `expand` → `cluster_tree` pipeline.
     pub fn epoch(
         &mut self,
         domains: &[&[Bubble]],
-        changes: Vec<Option<Vec<BubbleChange>>>,
+        _changes: Vec<Option<Vec<BubbleChange>>>,
         map_id: impl Fn(u32, PointId) -> u64,
     ) -> EpochReport {
-        assert_eq!(
-            changes.len(),
-            domains.len(),
-            "one change log (or None) per domain"
-        );
         let timer = self.obs.start();
+        let p = &self.params;
 
-        // --- 1. Sync the slot space. ---
-        let resynced = if self.try_apply_changes(domains, changes) {
-            false
-        } else {
-            self.resync(domains);
-            true
-        };
-
-        // --- 2. Refresh touched distance neighborhoods. ---
-        let slot_summaries: Vec<&Bubble> = self
-            .owners
-            .iter()
-            .map(|&(d, j)| &domains[d as usize][j as usize])
-            .collect();
-        let touched = self.cache.refresh(&slot_summaries, self.params.par);
-        let total = self.owners.len();
-
-        // --- 3. Expand over the cached matrix, domain-major like
-        // `optics_merged`. ---
-        let live: Vec<usize> = self
-            .domain_slots
-            .iter()
-            .enumerate()
-            .flat_map(|(d, slots)| {
-                slots
-                    .iter()
-                    .enumerate()
-                    .filter(move |&(j, _)| domains[d][j].n() > 0)
-                    .map(|(_, &c)| c)
-            })
-            .collect();
-        let matrix = self.cache.live_view(&live);
-        let ordering = optics_from_matrix_with_scratch(
-            &slot_summaries,
-            &live,
-            &matrix,
-            self.params.eps,
-            self.params.min_pts,
-            &mut self.optics_scratch,
-        );
-        let refs: Vec<MergedRef> = ordering
-            .order
-            .iter()
-            .map(|&c| {
-                let (domain, index) = self.owners[c];
-                MergedRef {
-                    domain,
-                    index: index as usize,
-                }
-            })
-            .collect();
-
-        // --- 4. Expand to the point level and re-extract the tree. ---
-        let plot = ordering.expand(|c| {
-            let (d, j) = self.owners[c];
-            domains[d as usize][j as usize]
+        let (refs, ordering) = optics_merged(domains, p.eps, p.min_pts, p.par);
+        let plot = ordering.expand(|i| {
+            let r = refs[i];
+            domains[r.domain as usize][r.index]
                 .members()
                 .iter()
-                .map(|&id| map_id(d, id))
+                .map(|&id| map_id(r.domain, id))
                 .collect::<Vec<u64>>()
         });
-        let (tree, tree_stats) =
-            cluster_tree_delta(&plot, &self.params.extract, &mut self.tree_cache);
+        let tree = cluster_tree(&plot, &p.extract);
+        let total: usize = domains.iter().map(|d| d.len()).sum();
+        let components = ordering
+            .reachability
+            .iter()
+            .filter(|r| r.is_infinite())
+            .count();
 
-        // --- 5. Diff into typed deltas with stable ids. ---
         let (id_tree, deltas) = diff_trees(
             self.id_tree.as_ref(),
             &tree,
@@ -340,7 +261,6 @@ impl DeltaEngine {
         let new_parents = id_tree.parents();
         self.id_tree = Some(id_tree);
 
-        // --- 6. Fan out to subscriptions and the observability ledger. ---
         let epoch = self.epochs;
         self.epochs += 1;
         self.subs.fanout(epoch, &deltas, |root, delta| {
@@ -349,7 +269,7 @@ impl DeltaEngine {
         if self.obs.enabled() {
             self.obs.emit_timed(
                 EventKind::DeltaEpoch {
-                    touched: touched as u32,
+                    touched: total as u32,
                     total: total as u32,
                     deltas: deltas.len() as u32,
                 },
@@ -357,15 +277,12 @@ impl DeltaEngine {
             );
             let metrics = self.obs.metrics();
             metrics.counter("delta.epochs").inc();
-            metrics.counter("delta.rows_touched").add(touched as u64);
+            metrics.counter("delta.rows_touched").add(total as u64);
             metrics.counter("delta.rows_total").add(total as u64);
-            metrics
-                .counter("delta.rows_saved")
-                .add((total - touched) as u64);
-            if resynced {
-                metrics.counter("delta.resyncs").inc();
-            }
         }
+        // `refs` is indexed by merged position; the artifact keeps it
+        // aligned with the ordering instead.
+        let refs = ordering.order.iter().map(|&i| refs[i]).collect();
         self.last = Some(EpochArtifacts {
             refs,
             ordering,
@@ -375,103 +292,14 @@ impl DeltaEngine {
 
         EpochReport {
             epoch,
-            touched,
+            touched: total,
             total,
-            resynced,
             deltas,
-            tree: tree_stats,
+            tree: TreeDeltaStats {
+                reused: 0,
+                rebuilt: components,
+            },
         }
-    }
-
-    /// Applies per-domain change logs to the slot mapping and the pair
-    /// cache. Returns `false` when a full resync is required instead:
-    /// domain count changed, a log is missing, or the resulting mapping
-    /// does not cover the domains (a defensive cross-check).
-    fn try_apply_changes(
-        &mut self,
-        domains: &[&[Bubble]],
-        changes: Vec<Option<Vec<BubbleChange>>>,
-    ) -> bool {
-        if self.domain_slots.len() != domains.len() {
-            return false;
-        }
-        if changes.iter().any(Option::is_none) {
-            return false;
-        }
-        for (d, log) in changes.into_iter().enumerate() {
-            for change in log.expect("checked above") {
-                match change {
-                    BubbleChange::Touched(i) => {
-                        let Some(&c) = self.domain_slots[d].get(i as usize) else {
-                            return false;
-                        };
-                        self.cache.touch(c);
-                    }
-                    BubbleChange::Pushed => {
-                        let c = self.cache.slots();
-                        self.cache.push();
-                        self.owners
-                            .push((d as u32, self.domain_slots[d].len() as u32));
-                        self.domain_slots[d].push(c);
-                    }
-                    BubbleChange::SwapRemoved(i) => {
-                        if !self.apply_swap_remove(d, i as usize) {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        // The mapping must exactly cover the domains we were shown.
-        self.domain_slots.len() == domains.len()
-            && self
-                .domain_slots
-                .iter()
-                .zip(domains)
-                .all(|(slots, dom)| slots.len() == dom.len())
-    }
-
-    /// Mirrors a maintainer-side `swap_remove(i)` in domain `d`: the
-    /// domain's last bubble moved to local index `i`, and the cache's
-    /// last slot moved into the removed bubble's slot.
-    fn apply_swap_remove(&mut self, d: usize, i: usize) -> bool {
-        let Some(&c_removed) = self.domain_slots[d].get(i) else {
-            return false;
-        };
-        // Domain-local remap (maintainer Vec::swap_remove semantics).
-        let c_last_local = self.domain_slots[d].pop().expect("get() proved non-empty");
-        if i < self.domain_slots[d].len() {
-            self.domain_slots[d][i] = c_last_local;
-            self.owners[c_last_local] = (d as u32, i as u32);
-        }
-        // Global cache remap (PairCache::swap_remove semantics).
-        self.cache.swap_remove(c_removed);
-        let moved_owner = self.owners.pop().expect("owners mirror cache slots");
-        if c_removed < self.owners.len() {
-            self.owners[c_removed] = moved_owner;
-            self.domain_slots[moved_owner.0 as usize][moved_owner.1 as usize] = c_removed;
-        }
-        true
-    }
-
-    /// Rebuilds the slot mapping from scratch and marks every slot dirty
-    /// — the sound fallback whenever incremental bookkeeping cannot be
-    /// trusted.
-    fn resync(&mut self, domains: &[&[Bubble]]) {
-        self.owners.clear();
-        self.domain_slots = domains
-            .iter()
-            .enumerate()
-            .map(|(d, dom)| {
-                (0..dom.len())
-                    .map(|j| {
-                        self.owners.push((d as u32, j as u32));
-                        self.owners.len() - 1
-                    })
-                    .collect()
-            })
-            .collect();
-        self.cache.reset(self.owners.len());
     }
 }
 

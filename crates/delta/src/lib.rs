@@ -1,21 +1,16 @@
-//! Delta-maintained clustering with typed subscription deltas.
+//! Delta clustering with typed subscription deltas.
 //!
 //! The maintainer crates keep the *summarization* incremental: data
-//! bubbles absorb inserts and deletes in sub-linear time. But every
-//! epoch the service layers still re-cluster from scratch — a full
-//! O(s²) pairwise pass over all `s` bubbles plus a full tree
-//! extraction, even when a batch touched three of them. This crate
-//! closes that gap: it consumes the maintainer's structural change
-//! stream ([`idb_core::BubbleChange`]) and incrementally repairs only
-//! the touched reachability neighborhoods, re-extracting the cluster
-//! tree through the component cache. The results are **bit-identical**
-//! to the from-scratch pipeline on every epoch — incremental
-//! bookkeeping decides what to *recompute*, never what the values are —
-//! and the differential suite in `tests/equivalence.rs` proves it
-//! across every dynamic scenario, engine, parallelism mode and
-//! partition count.
+//! bubbles absorb inserts and deletes in sub-linear time, so clustering
+//! only ever handles the `s` bubbles. Each epoch, a [`DeltaEngine`] runs
+//! the from-scratch bubble-level pipeline over them (`optics_merged` →
+//! `expand` → `cluster_tree`, `O(s²)` at `s` in the hundreds) and diffs
+//! the resulting cluster tree against the previous epoch's. The
+//! differential suite in `tests/equivalence.rs` pins the engine's
+//! artifacts to the reference pipeline bit for bit across every dynamic
+//! scenario, engine, parallelism mode and partition count.
 //!
-//! On top of the maintained tree sits a subscription layer: clients
+//! On top of each epoch's tree sits a subscription layer: clients
 //! register an [`Interest`] (the whole tree, one subtree, or a
 //! predicate) and receive typed [`ClusterDelta`]s — [`ClusterDelta::Born`],
 //! [`ClusterDelta::Split`], [`ClusterDelta::Absorbed`],
@@ -33,8 +28,7 @@
 //! * [`router_epoch`] — every partition of an
 //!   [`idb_shard::ShardRouter`], merged in partition order,
 //!   bit-identical to the router's own cross-partition pass;
-//! * [`DeltaEngine::epoch`] — explicit domains and change logs, for
-//!   anything else.
+//! * [`DeltaEngine::epoch`] — explicit domains, for anything else.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +39,6 @@ mod sharded;
 mod subscribe;
 
 pub use deltas::{ClusterDelta, ClusterId, TreeReplica};
-pub use engine::{DeltaEngine, DeltaParams, EpochReport};
+pub use engine::{DeltaEngine, DeltaParams, EpochReport, TreeDeltaStats};
 pub use sharded::router_epoch;
 pub use subscribe::{Interest, SubscriptionId, VersionedDelta};

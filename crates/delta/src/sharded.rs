@@ -1,18 +1,12 @@
 //! Delta clustering over a sharded router.
 //!
 //! [`router_epoch`] is the sharded counterpart of
-//! [`DeltaEngine::maintainer_epoch`]: each online partition's change log
-//! is drained and its bubble set becomes one engine domain, in partition
-//! order — the exact domain order of
-//! [`ShardRouter::cluster`](idb_shard::ShardRouter::cluster), so the
-//! delta-maintained ordering is bit-identical to the router's own merged
+//! [`DeltaEngine::maintainer_epoch`]: each partition's bubble set
+//! becomes one engine domain, in partition order — the exact domain
+//! order of [`ShardRouter::cluster`](idb_shard::ShardRouter::cluster), so
+//! the engine's ordering is bit-identical to the router's own merged
 //! cross-partition pass. Point ids in plots and memberships are
 //! [`GlobalId::as_u64`] (partition in the high word).
-//!
-//! A partition restarted since the previous epoch comes back with
-//! change tracking off; [`router_epoch`] re-enables it, which leaves the
-//! log invalid for this one epoch and forces a full resync — recovery
-//! can never smuggle stale incremental state past the engine.
 
 use crate::engine::{DeltaEngine, EpochReport};
 use idb_core::{Bubble, CheckpointStore};
@@ -27,26 +21,16 @@ use idb_store::DurableSink;
 /// present.
 pub fn router_epoch<S: DurableSink, C: CheckpointStore>(
     engine: &mut DeltaEngine,
-    router: &mut ShardRouter<S, C>,
+    router: &ShardRouter<S, C>,
 ) -> Result<EpochReport, ShardError> {
-    let partitions = router.config().partitions;
-    let mut changes = Vec::with_capacity(partitions as usize);
-    for p in 0..partitions {
-        let maintainer = router
-            .maintainer_mut(p)
-            .ok_or(ShardError::Unavailable { partition: p })?;
-        if !maintainer.bubbles().change_tracking() {
-            maintainer.set_change_tracking(true);
-        }
-        changes.push(maintainer.take_changes());
-    }
-    let domains: Vec<&[Bubble]> = (0..partitions)
+    let domains = (0..router.config().partitions)
         .map(|p| {
             router
                 .partition_bubbles(p)
-                .expect("checked online above; no drains since")
+                .ok_or(ShardError::Unavailable { partition: p })
         })
-        .collect();
+        .collect::<Result<Vec<&[Bubble]>, _>>()?;
+    let changes = vec![None; domains.len()];
     Ok(engine.epoch(&domains, changes, |partition, local| {
         GlobalId { partition, local }.as_u64()
     }))

@@ -1,11 +1,9 @@
 //! The delta-clustering differential suite.
 //!
 //! One contract, proven by byte-level comparison on every epoch of
-//! every run: the delta-maintained pipeline — change-log bookkeeping,
-//! incremental pair-cache refresh, matrix-fed expansion, component-
-//! cached extraction — produces **bit-identical** artifacts to the
-//! from-scratch pipeline (`optics_bubbles_with` / `optics_merged` →
-//! `expand` → `cluster_tree`):
+//! every run: the delta engine's epoch produces **bit-identical**
+//! artifacts to the from-scratch pipeline (`optics_bubbles_with` /
+//! `optics_merged` → `expand` → `cluster_tree`):
 //!
 //! * the ordered provenance (which bubble at which position),
 //! * the reachability and virtual-reachability bits,
@@ -15,16 +13,18 @@
 //! The case matrix spans all six paper scenarios (plus the extended
 //! dynamics), every seed-search engine with warm-start on and off,
 //! serial and threaded refresh, unsharded maintainers and routers at
-//! one and four partitions, with fault-injected batches and a
-//! crash/restart (forced resync) along the way — well over 256 compared
-//! epochs in total; each test asserts its own floor.
+//! one and four partitions, with fault-injected batches, a
+//! crash/restart, a repair, a domain-count change and stale or missing
+//! change logs along the way — well over 256 compared epochs in total;
+//! each test asserts its own floor.
 
 use idb_clustering::{
     cluster_tree, optics_bubbles_with, optics_merged, BubbleOrdering, ClusterNode, ExtractParams,
     MergedRef,
 };
 use idb_core::{
-    DataSummary, DurabilityConfig, IncrementalBubbles, MaintainerConfig, MemCheckpoints, SeedSearch,
+    Bubble, DataSummary, DurabilityConfig, IncrementalBubbles, MaintainerConfig, MemCheckpoints,
+    SeedSearch,
 };
 use idb_delta::{router_epoch, DeltaEngine, DeltaParams, EpochReport};
 use idb_geometry::{Parallelism, SearchStats};
@@ -109,15 +109,14 @@ fn assert_epoch_matches(
 }
 
 /// Drives one unsharded scenario run, comparing every epoch. Returns
-/// the number of compared epochs and whether any steady-state epoch
-/// actually saved work (touched < total).
+/// the number of compared epochs.
 fn run_unsharded(
     kind: ScenarioKind,
     seed_search: SeedSearch,
     warm_start: bool,
     par: Parallelism,
     epochs: usize,
-) -> (usize, bool) {
+) -> usize {
     let spec = ScenarioSpec::named(kind, DIM, 420, 0.10);
     let mut scenario = ScenarioEngine::new(spec);
     let mut srng = StdRng::seed_from_u64(SCENARIO_SEED);
@@ -133,7 +132,6 @@ fn run_unsharded(
     let mut engine = DeltaEngine::new(params(par));
     engine.set_obs(Obs::from_env());
     let mut cases = 0;
-    let mut saved_work = false;
     for round in 0..epochs {
         if round > 0 {
             let batch = scenario.plan(&mut srng);
@@ -141,15 +139,11 @@ fn run_unsharded(
             scenario.confirm(&got);
             bubbles.maintain(&store, &mut mrng, &mut search);
         }
-        let report = engine.maintainer_epoch(&mut bubbles);
+        let report = engine.maintainer_epoch(&bubbles);
         assert!(
             report.touched <= report.total,
             "touched must never exceed total"
         );
-        assert_eq!(report.resynced, round == 0, "only the first epoch resyncs");
-        if round > 0 && report.touched < report.total {
-            saved_work = true;
-        }
 
         let scratch = optics_bubbles_with(bubbles.bubbles(), f64::INFINITY, MIN_PTS, par);
         let scratch_refs: Vec<MergedRef> = (0..bubbles.bubbles().len())
@@ -178,28 +172,20 @@ fn run_unsharded(
         );
         cases += 1;
     }
-    (cases, saved_work)
+    cases
 }
 
 #[test]
 fn every_scenario_engine_and_warm_start_is_bit_identical() {
     let mut cases = 0;
-    let mut any_saved = false;
     for kind in ScenarioKind::all() {
         for seed_search in [SeedSearch::Brute, SeedSearch::Pruned, SeedSearch::KdTree] {
             for warm_start in [true, false] {
-                let (c, saved) =
-                    run_unsharded(kind, seed_search, warm_start, Parallelism::Serial, 6);
-                cases += c;
-                any_saved = any_saved || saved;
+                cases += run_unsharded(kind, seed_search, warm_start, Parallelism::Serial, 6);
             }
         }
     }
     assert!(cases >= 216, "case floor: got {cases}");
-    assert!(
-        any_saved,
-        "at least one steady-state epoch must refresh fewer slots than a full recompute"
-    );
 }
 
 #[test]
@@ -211,8 +197,7 @@ fn extended_dynamics_and_threaded_refresh_are_bit_identical() {
         ScenarioKind::Densify,
     ] {
         for par in [Parallelism::Serial, Parallelism::Threads(3)] {
-            let (c, _) = run_unsharded(kind, SeedSearch::Pruned, true, par, 5);
-            cases += c;
+            cases += run_unsharded(kind, SeedSearch::Pruned, true, par, 5);
         }
     }
     assert!(cases >= 30, "case floor: got {cases}");
@@ -221,8 +206,7 @@ fn extended_dynamics_and_threaded_refresh_are_bit_identical() {
 /// Drives one sharded run at the given partition count, comparing every
 /// epoch against the router's own merged cross-partition pass, with
 /// fault-injected batches and (when `crash` is set) a kill/restart of
-/// partition 0 in the middle — which must force exactly one resync and
-/// still be bit-identical.
+/// partition 0 in the middle, which must still be bit-identical.
 fn run_sharded(partitions: u32, par: Parallelism, crash: bool, rounds: usize) -> usize {
     let mconfig = MaintainerConfig::new(10).with_parallelism(Parallelism::Serial);
     let spec = ScenarioSpec::named(ScenarioKind::Complex, DIM, 600, 0.12);
@@ -275,13 +259,8 @@ fn run_sharded(partitions: u32, par: Parallelism, crash: bool, rounds: usize) ->
             let got = router.apply(&batch).expect("apply");
             scenario.confirm(&got);
         }
-        let report: EpochReport = router_epoch(&mut engine, &mut router).expect("online");
+        let report: EpochReport = router_epoch(&mut engine, &router).expect("online");
         assert!(report.touched <= report.total);
-        if crash && round == rounds / 2 {
-            assert!(report.resynced, "a restarted partition must force resync");
-        } else if round > 0 {
-            assert!(!report.resynced, "round {round}: spurious resync");
-        }
 
         let (scratch_refs, scratch) = router
             .cluster(f64::INFINITY, MIN_PTS, Parallelism::Serial)
@@ -332,15 +311,15 @@ fn sharded_delta_matches_the_merged_cross_partition_pass() {
 }
 
 #[test]
-fn a_partition_restart_forces_one_resync_and_stays_bit_identical() {
+fn a_partition_restart_stays_bit_identical() {
     let cases = run_sharded(4, Parallelism::Serial, true, 10);
     assert!(cases >= 10, "case floor: got {cases}");
 }
 
-/// An unsharded maintainer that suffers a repair mid-run: the change
-/// log is invalidated, the next epoch must resync — and still match.
+/// An unsharded maintainer that suffers a repair mid-run: the epochs
+/// around it must still match the from-scratch pipeline.
 #[test]
-fn a_repair_invalidates_the_log_and_the_next_epoch_resyncs() {
+fn a_repair_mid_run_stays_bit_identical() {
     let spec = ScenarioSpec::named(ScenarioKind::Random, DIM, 400, 0.10);
     let mut scenario = ScenarioEngine::new(spec);
     let mut srng = StdRng::seed_from_u64(SCENARIO_SEED);
@@ -350,7 +329,7 @@ fn a_repair_invalidates_the_log_and_the_next_epoch_resyncs() {
     let mut bubbles =
         IncrementalBubbles::build(&store, MaintainerConfig::new(12), &mut mrng, &mut search);
     let mut engine = DeltaEngine::new(params(Parallelism::Serial));
-    engine.maintainer_epoch(&mut bubbles);
+    engine.maintainer_epoch(&bubbles);
 
     for round in 0..4 {
         let batch = scenario.plan(&mut srng);
@@ -365,12 +344,7 @@ fn a_repair_invalidates_the_log_and_the_next_epoch_resyncs() {
             let report = bubbles.repair(&store, &mut mrng, &mut search);
             assert!(report.issues_found > 0, "sabotage must be detected");
         }
-        let report = engine.maintainer_epoch(&mut bubbles);
-        assert_eq!(
-            report.resynced,
-            round == 1,
-            "round {round}: resync exactly after the repair"
-        );
+        engine.maintainer_epoch(&bubbles);
 
         let scratch = optics_bubbles_with(
             bubbles.bubbles(),
@@ -395,9 +369,9 @@ fn a_repair_invalidates_the_log_and_the_next_epoch_resyncs() {
 }
 
 /// The delta engine over explicit domains must also survive a domain
-/// *count* change (a partition added between epochs) by resyncing.
+/// *count* change (a partition added between epochs).
 #[test]
-fn a_domain_count_change_forces_a_resync() {
+fn a_domain_count_change_stays_bit_identical() {
     let mut store = PointStore::new(DIM);
     for i in 0..120 {
         let x = f64::from(i % 2) * 40.0 + f64::from(i % 10);
@@ -413,11 +387,9 @@ fn a_domain_count_change_forces_a_resync() {
 
     let mut engine = DeltaEngine::new(params(Parallelism::Serial));
     let changes = vec![a.take_changes()];
-    let r1 = engine.epoch(&[a.bubbles()], changes, map_id);
-    assert!(r1.resynced, "first epoch resyncs");
+    engine.epoch(&[a.bubbles()], changes, map_id);
     let changes = vec![a.take_changes(), b.take_changes()];
-    let r2 = engine.epoch(&[a.bubbles(), b.bubbles()], changes, map_id);
-    assert!(r2.resynced, "domain count changed");
+    engine.epoch(&[a.bubbles(), b.bubbles()], changes, map_id);
 
     let (scratch_refs, scratch) = optics_merged(
         &[a.bubbles(), b.bubbles()],
@@ -440,5 +412,79 @@ fn a_domain_count_change_forces_a_resync() {
             .iter()
             .map(|r| r.to_bits())
             .collect::<Vec<u64>>(),
+    );
+}
+
+/// The engine never trusts a change log: after a real batch, an empty
+/// log that omits every change, and then a missing log, must both yield
+/// exactly the from-scratch artifacts over the domain as it now stands.
+#[test]
+fn stale_or_missing_change_logs_never_change_an_epoch() {
+    let spec = ScenarioSpec::named(ScenarioKind::Random, DIM, 400, 0.10);
+    let mut scenario = ScenarioEngine::new(spec);
+    let mut srng = StdRng::seed_from_u64(SCENARIO_SEED);
+    let mut store = scenario.populate(&mut srng);
+    let mut mrng = StdRng::seed_from_u64(MAINT_SEED);
+    let mut search = SearchStats::new();
+    let mut bubbles =
+        IncrementalBubbles::build(&store, MaintainerConfig::new(12), &mut mrng, &mut search);
+    bubbles.set_change_tracking(true);
+    let map_id = |_: u32, id: PointId| u64::from(id.0);
+    let mut engine = DeltaEngine::new(params(Parallelism::Serial));
+    let changes = vec![bubbles.take_changes()];
+    engine.epoch(&[bubbles.bubbles()], changes, map_id);
+
+    // A real batch that changes bubble statistics but not the bubble
+    // count, so a log-trusting engine would see a consistent slot space
+    // and keep its stale distance rows.
+    let before = bubbles.bubbles().len();
+    let batch = scenario.plan(&mut srng);
+    let got = bubbles.apply_batch(&mut store, &batch, &mut search);
+    scenario.confirm(&got);
+    assert_eq!(
+        bubbles.bubbles().len(),
+        before,
+        "the batch keeps the slot count"
+    );
+    let drained = bubbles.take_changes().expect("tracking is on");
+    assert!(!drained.is_empty(), "the batch must change some bubble");
+
+    for (label, log) in [("empty log", Some(Vec::new())), ("missing log", None)] {
+        engine.epoch(&[bubbles.bubbles()], vec![log], map_id);
+        assert_matches_scratch(&engine, &[bubbles.bubbles()], map_id, label);
+    }
+}
+
+/// [`assert_epoch_matches`] against the from-scratch pipeline over
+/// `domains`.
+fn assert_matches_scratch(
+    engine: &DeltaEngine,
+    domains: &[&[Bubble]],
+    map_id: impl Fn(u32, PointId) -> u64,
+    label: &str,
+) {
+    let (scratch_refs, scratch) =
+        optics_merged(domains, f64::INFINITY, MIN_PTS, Parallelism::Serial);
+    let scratch_plot = scratch.expand(|i| {
+        let r = scratch_refs[i];
+        domains[r.domain as usize][r.index]
+            .members()
+            .iter()
+            .map(|&id| map_id(r.domain, id))
+            .collect::<Vec<u64>>()
+    });
+    let scratch_tree = cluster_tree(&scratch_plot, &ExtractParams::with_min_size(MIN_CLUSTER));
+    let scratch_plot_bits: Vec<(u64, u64)> = scratch_plot
+        .entries()
+        .iter()
+        .map(|e| (e.id, e.reachability.to_bits()))
+        .collect();
+    assert_epoch_matches(
+        engine,
+        &scratch_refs,
+        &scratch,
+        &scratch_plot_bits,
+        &scratch_tree,
+        label,
     );
 }

@@ -116,7 +116,7 @@ fn run_config(seed_search: SeedSearch, par: Parallelism, epochs: usize) -> Vec<F
             scenario.confirm(&got);
             bubbles.maintain(&store, &mut mrng, &mut search);
         }
-        engine.maintainer_epoch(&mut bubbles);
+        engine.maintainer_epoch(&bubbles);
         let fp = engine_fingerprint(&engine);
 
         // Delta vs scratch, every epoch, every artifact, bit for bit.
@@ -222,7 +222,7 @@ fn sharded_delta_matches_scratch_at_high_dim() {
                 let got = router.apply(&batch).expect("apply");
                 scenario.confirm(&got);
             }
-            router_epoch(&mut engine, &mut router).expect("online");
+            router_epoch(&mut engine, &router).expect("online");
             let fp = engine_fingerprint(&engine);
 
             let (scratch_refs, scratch) = router

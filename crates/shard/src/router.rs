@@ -573,11 +573,11 @@ impl<S: DurableSink, C: CheckpointStore> ShardRouter<S, C> {
     }
 
     /// Turns structural change tracking on or off on every *online*
-    /// partition (see [`DurableMaintainer::set_change_tracking`]). The
-    /// output channel of delta-clustering consumers; never journaled,
-    /// never persisted — a partition restarted through
+    /// partition (see [`DurableMaintainer::set_change_tracking`]). An
+    /// output channel for change-log consumers; never journaled, never
+    /// persisted — a partition restarted through
     /// [`ShardRouter::restart_partition`] comes back with tracking off,
-    /// which a delta consumer must treat as "everything changed".
+    /// which a consumer must treat as "everything changed".
     pub fn set_change_tracking(&mut self, on: bool) {
         for slot in &mut self.slots {
             if let Some(m) = slot.maintainer.as_mut() {
